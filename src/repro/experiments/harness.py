@@ -288,54 +288,6 @@ def _reap_call_pooled(
     )
 
 
-def _measure_call_pooled(
-    manager: Manager,
-    call: MinimizationCall,
-    heuristics: Sequence[str],
-    pool,
-    board,
-    compute_lower_bound: bool,
-    cube_limit: int,
-    gc_roots,
-    batch: bool = True,
-) -> CallResult:
-    """Measure one call with every heuristic run in a pool worker.
-
-    The sequential pooled path: gate, dispatch the call's cells (one
-    batch envelope by default, per-cell round trips with
-    ``batch=False``), reap.  The batched sweep normally goes through
-    :func:`_sweep_record_pooled` instead, which pipelines whole
-    records; this stays as the single-call building block.
-    """
-    allowed, sizes, runtimes, failures = _gate_call_pooled(
-        heuristics, board
-    )
-    replies = (
-        pool.run_batch(
-            manager,
-            [(name, call.f, call.c) for name in allowed],
-            batch=batch,
-        )
-        if allowed
-        else []
-    )
-    return _reap_call_pooled(
-        manager,
-        call,
-        heuristics,
-        pool,
-        board,
-        allowed,
-        replies,
-        sizes,
-        runtimes,
-        failures,
-        compute_lower_bound,
-        cube_limit,
-        gc_roots,
-    )
-
-
 def _sweep_record_pooled(
     record: BenchmarkCalls,
     manager: Manager,
@@ -456,7 +408,6 @@ def run_heuristics(
     serve_deadline: Optional[float] = None,
     serve_memory_limit: Optional[int] = None,
     gc: bool = True,
-    batch: bool = True,
 ) -> ExperimentResults:
     """Measure every heuristic on every recorded call.
 
@@ -480,13 +431,11 @@ def run_heuristics(
     ``budget``'s node/step limits are enforced inside the workers; its
     ``deadline`` seeds the watchdog when ``serve_deadline`` is unset.
 
-    ``batch=True`` (the default, pooled sweeps only) packs each call's
-    cells into one batch envelope — the instance encoded once, shared
-    by every cell — and pipelines a record's calls: later calls are
-    dispatched while earlier ones still compute, with results reaped
-    strictly in call order so breaker bookkeeping and journalling stay
-    deterministic.  ``batch=False`` keeps the one-round-trip-per-cell
-    dispatch, for differential runs and overhead benchmarks.
+    A pooled sweep packs each call's cells into one batch envelope —
+    the instance encoded once, shared by every cell — and pipelines a
+    record's calls: later calls are dispatched while earlier ones still
+    compute, with results reaped strictly in call order so breaker
+    bookkeeping and journalling stay deterministic.
 
     ``gc=True`` (the default) makes each §4.1.1 flush point a real
     mark-and-sweep collection rooted at the record's instances, so
@@ -497,6 +446,7 @@ def run_heuristics(
     journal, completed = _open_checkpoint(checkpoint, resume)
     pool = None
     board = None
+    executor: Optional[ThreadPoolExecutor] = None
     if parallel is not None:
         if parallel < 1:
             raise ValueError(
@@ -522,8 +472,6 @@ def run_heuristics(
             verify=False,
         )
         board = BreakerBoard()
-    executor: Optional[ThreadPoolExecutor] = None
-    if pool is not None and batch:
         # The pipeline's dispatch lanes: one submitting thread per
         # worker keeps every child busy while the caller reaps.
         executor = ThreadPoolExecutor(max_workers=parallel)
@@ -570,28 +518,16 @@ def run_heuristics(
                     results.results.append(completed[key])
                     results.resumed_calls += 1
                     continue
-                if pool is not None:
-                    result = _measure_call_pooled(
-                        manager,
-                        call,
-                        heuristics,
-                        pool,
-                        board,
-                        compute_lower_bound,
-                        cube_limit,
-                        gc_roots,
-                    )
-                else:
-                    result = _measure_call(
-                        manager,
-                        call,
-                        heuristics,
-                        budget,
-                        verify_covers,
-                        compute_lower_bound,
-                        cube_limit,
-                        gc_roots,
-                    )
+                result = _measure_call(
+                    manager,
+                    call,
+                    heuristics,
+                    budget,
+                    verify_covers,
+                    compute_lower_bound,
+                    cube_limit,
+                    gc_roots,
+                )
                 if journal is not None:
                     journal.append(result)
                 results.results.append(result)
@@ -625,7 +561,6 @@ def run_experiment(
     serve_deadline: Optional[float] = None,
     serve_memory_limit: Optional[int] = None,
     gc: bool = True,
-    batch: bool = True,
 ) -> ExperimentResults:
     """Collect calls over a suite and measure: the whole §4 pipeline."""
     # Validate the journal before the expensive call collection, so a
@@ -646,5 +581,4 @@ def run_experiment(
         serve_deadline=serve_deadline,
         serve_memory_limit=serve_memory_limit,
         gc=gc,
-        batch=batch,
     )

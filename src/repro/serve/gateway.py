@@ -165,6 +165,11 @@ class GatewayReply:
     hedged: bool = False
     queue_wait: float = 0.0
     worker_deadline: float = 0.0
+    #: Seconds from admission to reply on the gateway clock — queue
+    #: wait, every attempt and re-verification included.  It is the
+    #: value ``gateway.request_latency`` observes (per completed single
+    #: request, once per batch); every cell of a batch carries its
+    #: batch's time.
     runtime: float = 0.0
 
     @property
@@ -674,50 +679,79 @@ class MinimizationGateway:
                 self.spans.close(item.span, status="error")
                 self._active -= 1
 
+    def _shed_expired(
+        self, item: _Admitted
+    ) -> Optional[Tuple[float, float]]:
+        """Shed ``item`` if its budget died in the queue.
+
+        Returns ``None`` after shedding (the request never touches a
+        worker), else ``(queue wait, remaining budget)``.
+        """
+        now = self._clock()
+        waited = now - item.admitted_at
+        remaining = item.expires_at - now
+        if remaining > 0.0:
+            return waited, remaining
+        self.shed_expired += 1
+        mreg = obs_metrics.active()
+        if mreg is not None:
+            mreg.inc("gateway.shed_expired")
+        self.spans.close(
+            item.span,
+            status="shed",
+            shed_reason="deadline_expired",
+            waited=round(waited, 6),
+        )
+        item.future.set_exception(
+            DeadlineExpired(
+                "deadline of %.3fs expired after %.3fs in queue"
+                % (item.budget, waited),
+                waited=waited,
+            )
+        )
+        return None
+
+    def _short_circuit(
+        self,
+        item: _Admitted,
+        method: str,
+        breaker,
+        payload: bytes,
+        waited: float,
+    ) -> GatewayReply:
+        """The ``CircuitOpen`` reply for a breaker-denied cell of
+        ``item``: the identity cover, never dispatched."""
+        self.degraded += 1
+        mreg = obs_metrics.active()
+        if mreg is not None:
+            mreg.inc("gateway.short_circuits")
+        return GatewayReply(
+            method=method,
+            payload=self._fallback_payload(payload),
+            reason="CircuitOpen: %s" % breaker.describe(),
+            kind=TRANSIENT,
+            attempts=0,
+            queue_wait=waited,
+            runtime=self._clock() - item.admitted_at,
+        )
+
     async def _run_item(self, item: _Admitted) -> None:
         if item.batch is not None:
             await self._run_batch_item(item)
             return
-        now = self._clock()
-        waited = now - item.admitted_at
-        remaining = item.expires_at - now
-        mreg = obs_metrics.active()
-        if remaining <= 0.0:
-            # Already dead on arrival at the dispatcher: shed without
-            # ever touching a worker.
-            self.shed_expired += 1
-            if mreg is not None:
-                mreg.inc("gateway.shed_expired")
-            self.spans.close(
-                item.span,
-                status="shed",
-                shed_reason="deadline_expired",
-                waited=round(waited, 6),
-            )
-            item.future.set_exception(
-                DeadlineExpired(
-                    "deadline of %.3fs expired after %.3fs in queue"
-                    % (item.budget, waited),
-                    waited=waited,
-                )
-            )
+        admitted = self._shed_expired(item)
+        if admitted is None:
             return
+        waited, remaining = admitted
+        mreg = obs_metrics.active()
         breaker = None
         if self.board is not None:
             breaker = self.board.breaker(item.method)
             if not breaker.allow():
-                self.degraded += 1
-                if mreg is not None:
-                    mreg.inc("gateway.short_circuits")
                 self.spans.close(item.span, status="short_circuit")
                 item.future.set_result(
-                    GatewayReply(
-                        method=item.method,
-                        payload=self._fallback_payload(item.payload),
-                        reason="CircuitOpen: %s" % breaker.describe(),
-                        kind=TRANSIENT,
-                        attempts=0,
-                        queue_wait=waited,
+                    self._short_circuit(
+                        item, item.method, breaker, item.payload, waited
                     )
                 )
                 return
@@ -777,29 +811,12 @@ class MinimizationGateway:
 
     async def _run_batch_item(self, item: _Admitted) -> None:
         """Dispatch one admitted batch: gate, execute, reply per cell."""
-        now = self._clock()
-        waited = now - item.admitted_at
-        remaining = item.expires_at - now
+        admitted = self._shed_expired(item)
+        if admitted is None:
+            return
+        waited, remaining = admitted
         mreg = obs_metrics.active()
         instances, cells = item.batch
-        if remaining <= 0.0:
-            self.shed_expired += 1
-            if mreg is not None:
-                mreg.inc("gateway.shed_expired")
-            self.spans.close(
-                item.span,
-                status="shed",
-                shed_reason="deadline_expired",
-                waited=round(waited, 6),
-            )
-            item.future.set_exception(
-                DeadlineExpired(
-                    "deadline of %.3fs expired after %.3fs in queue"
-                    % (item.budget, waited),
-                    waited=waited,
-                )
-            )
-            return
         replies: List[Optional[GatewayReply]] = [None] * len(cells)
         allowed: List[int] = []
         for position, (index, method) in enumerate(cells):
@@ -809,16 +826,8 @@ class MinimizationGateway:
                 else None
             )
             if breaker is not None and not breaker.allow():
-                self.degraded += 1
-                if mreg is not None:
-                    mreg.inc("gateway.short_circuits")
-                replies[position] = GatewayReply(
-                    method=method,
-                    payload=self._fallback_payload(instances[index]),
-                    reason="CircuitOpen: %s" % breaker.describe(),
-                    kind=TRANSIENT,
-                    attempts=0,
-                    queue_wait=waited,
+                replies[position] = self._short_circuit(
+                    item, method, breaker, instances[index], waited
                 )
             else:
                 allowed.append(position)
@@ -871,7 +880,6 @@ class MinimizationGateway:
                     payload=outcome.payload,
                     queue_wait=waited,
                     worker_deadline=remaining,
-                    runtime=outcome.runtime,
                 )
             else:
                 self.degraded += 1
@@ -889,8 +897,9 @@ class MinimizationGateway:
                     kind=outcome.kind if outcome is not None else TRANSIENT,
                     queue_wait=waited,
                     worker_deadline=remaining,
-                    runtime=outcome.runtime if outcome is not None else 0.0,
                 )
+        for reply in replies:
+            reply.runtime = runtime
         if mreg is not None:
             mreg.observe("gateway.request_latency", runtime)
         self.spans.close(

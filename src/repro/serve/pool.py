@@ -18,11 +18,12 @@ format of :mod:`repro.bdd.wire`; the child rebuilds the instance in a
 **warm, resident manager** (:class:`_WarmHost` — persisting across
 requests, collected between cells, compacted past a node watermark),
 runs the registry heuristic, verifies the cover, and ships the result
-back.  Cells can travel individually (:meth:`MinimizationPool.execute`)
-or packed into batch envelopes with a shared-instance table
-(:meth:`MinimizationPool.execute_batch`) — one worker checkout per
-batch, per-cell streamed outcomes, so per-request dispatch overhead is
-amortized across the sweep's many tiny cells.  On *any* failure —
+back.  There is one worker protocol: every request is a batch envelope
+with a shared-instance table (:func:`repro.bdd.wire.encode_batch`) —
+one worker checkout per envelope, per-cell streamed outcomes, so
+dispatch overhead is amortized across the sweep's many tiny cells — and
+a single cell (:meth:`MinimizationPool.execute`) is a batch of one.
+On *any* failure —
 timeout, OOM, crash, budget trip, contract violation — the affected
 cell (and only that cell) degrades to the identity cover
 ``g = f`` (always correct per Definition 2) with the reason recorded,
@@ -45,12 +46,14 @@ Workers live on a checked-out/checked-in free list guarded by one
 condition variable, so the pool is safe to drive from **multiple
 threads at once** — the asyncio gateway's dispatcher threads
 (:mod:`repro.serve.gateway`), the chaos harness and a sweep can share
-one pool.  :meth:`MinimizationPool.execute` is the thread-safe,
-wire-level primitive (bytes in, :class:`WireOutcome` out; it never
-touches a caller manager); :meth:`run_batch` and :meth:`minimize` are
-built on top of it and do all caller-manager decoding in the calling
-thread, so a :class:`~repro.bdd.manager.Manager` is never shared
-across threads by this module.
+one pool.  :meth:`MinimizationPool.execute` (one cell) and
+:meth:`MinimizationPool.execute_batch` (one envelope) are the
+thread-safe, wire-level primitives (bytes in, :class:`WireOutcome`
+out; they never touch a caller manager), two thin faces of one
+dispatch core; :meth:`run_batch` and :meth:`minimize` are built on top
+of them and do all caller-manager decoding in the calling thread, so a
+:class:`~repro.bdd.manager.Manager` is never shared across threads by
+this module.
 
 Custom heuristics must be resolvable *in the child*.  With the default
 ``fork`` start method, anything registered via
@@ -470,86 +473,6 @@ def _run_cell(
     }
 
 
-def _execute_request(request: dict, host: _WarmHost) -> dict:
-    """Run one single-cell request inside the worker; never raises.
-
-    Returns a reply dict: ``status`` is ``"ok"`` (with a wire-encoded
-    cover in ``payload``) or ``"failed"`` (with ``reason`` and a
-    transient/deterministic ``kind``).  Either way the reply carries a
-    ``phases`` dict — worker-side wall time split into decode /
-    manager-build / compute / gc / encode — and, when the request
-    envelope carries a trace context, a ``spans`` bundle: the worker's
-    full span buffer (phases plus every library span the heuristic
-    emitted), recorded on a request-private tracer and shipped home
-    for re-parenting under the request's dispatch span.
-    """
-    started = time.perf_counter()
-    context = request.get("trace")
-    bundle_tracer = None
-    request_span = obs_trace._NULL_SPAN
-    if context is not None and context.get("detail", True):
-        # A fresh, request-scoped tracer: span timestamps are relative
-        # to *this* request's start, which is exactly the shape the
-        # merger's logical-clock rebasing expects.  Only requests the
-        # pool sampled for detail record (and ship) real spans —
-        # phase spans for the rest are synthesized pool-side from the
-        # ``phases`` durations below, which keeps tracing overhead on
-        # sub-millisecond requests near zero.
-        bundle_tracer = obs_trace.activate(obs_trace.Tracer())
-        request_span = bundle_tracer.span(
-            "worker.request",
-            seq=context["seq"],
-            trace_id=context["trace_id"],
-            parent=context["parent_span"],
-        )
-    clock = PhaseClock(tracer=bundle_tracer)
-    try:
-        with request_span:
-            reply = _serve_request(request, clock, host)
-    finally:
-        if bundle_tracer is not None:
-            obs_trace.deactivate()
-    phases = dict(clock.durations)
-    phases["worker.request"] = time.perf_counter() - started
-    reply["phases"] = phases
-    if bundle_tracer is not None:
-        reply["spans"] = bundle_tracer.events
-    return reply
-
-
-def _serve_request(request: dict, clock: PhaseClock, host: _WarmHost) -> dict:
-    """The phase pipeline of :func:`_execute_request`."""
-    method = request["method"]
-    started = time.perf_counter()
-    try:
-        with clock.phase("worker.decode"):
-            parsed = parse_payload(request["payload"])
-        with clock.phase("worker.manager"):
-            manager = host.acquire(parsed.names)
-            stats_before = manager.statistics()
-            _, roots = build_parsed(parsed, manager)
-    except WireError as error:
-        return {
-            "status": "failed",
-            "reason": "WireError: %s" % error,
-            "kind": DETERMINISTIC,
-            "runtime": time.perf_counter() - started,
-        }
-    if len(roots) != 2:
-        return {
-            "status": "failed",
-            "reason": "WireError: instance payload must carry exactly "
-            "2 roots [f, c], got %d" % len(roots),
-            "kind": DETERMINISTIC,
-            "runtime": time.perf_counter() - started,
-            "stats": _cell_stats(stats_before, manager),
-        }
-    f, c = roots
-    return _run_cell(
-        manager, host, f, c, method, request, clock, stats_before, started
-    )
-
-
 def _serve_batch_cell(
     request: dict,
     clock: PhaseClock,
@@ -559,6 +482,7 @@ def _serve_batch_cell(
     reasons: Dict[int, str],
     instance_index: int,
     method: str,
+    last_use: bool,
 ) -> dict:
     """Decode (or reuse) a cell's shared instance, then run the cell.
 
@@ -567,7 +491,10 @@ def _serve_batch_cell(
     *instance*, not once per cell, which is the batched path's main
     encode/decode saving.  ``None`` entries are tombstones for
     instances that already failed to decode (every later cell on them
-    fails with the recorded reason, without re-parsing).
+    fails with the recorded reason, without re-parsing).  On the
+    instance's ``last_use`` its entry is dropped before the cell runs,
+    so the between-cell collection roots only instances a later cell
+    still needs — a single cell (a batch of one) keeps only its cover.
     """
     started = time.perf_counter()
     if host.manager is None:
@@ -620,6 +547,8 @@ def _serve_batch_cell(
         manager = host.manager
         stats_before = manager.statistics()
     f, c = cached
+    if last_use:
+        del instances[instance_index]
     live = [
         ref
         for entry in instances.values()
@@ -651,21 +580,28 @@ def _serve_batch_cell(
 def _execute_batch(request: dict, conn, host: _WarmHost) -> bool:
     """Run one batch inside the worker, streaming per-cell replies.
 
+    Every request is a batch envelope; a single cell is a batch of one.
     Sends one ``{"cell": i, ...}`` reply the moment each cell finishes
     — the parent resets its watchdog window per cell and keeps every
     streamed result even when a later cell hangs and gets this worker
-    killed — followed by one ``{"status": "batch_done"}`` trailer
-    carrying the batch's accumulated phase durations, warm-host
-    counters and (when sampled for detail) the span bundle.  An
-    undecodable envelope sends a single terminal
-    ``{"status": "batch_error"}`` instead.  Returns ``False`` when the
-    pipe died (the worker exits its serve loop).
+    killed.  An undecodable envelope sends a single
+    ``{"status": "batch_error"}`` reply instead.  The request's last
+    reply carries its trailer: the accumulated phase durations, the
+    warm-host counters and (when sampled for detail) the span bundle,
+    so a single cell costs one reply message.  Returns ``False`` when
+    the pipe died (the worker exits its serve loop).
     """
     started = time.perf_counter()
     context = request.get("trace")
     bundle_tracer = None
     batch_span = obs_trace._NULL_SPAN
     if context is not None and context.get("detail", True):
+        # A fresh, request-scoped tracer: span timestamps are relative
+        # to *this* request's start, which is exactly the shape the
+        # merger's logical-clock rebasing expects.  Only requests the
+        # pool sampled for detail record (and ship) real spans; phase
+        # spans for the rest are synthesized pool-side from the
+        # trailer's ``phases`` durations.
         bundle_tracer = obs_trace.activate(obs_trace.Tracer())
         batch_span = bundle_tracer.span(
             "worker.request",
@@ -675,14 +611,14 @@ def _execute_batch(request: dict, conn, host: _WarmHost) -> bool:
         )
     clock = PhaseClock(tracer=bundle_tracer)
     pipe_ok = True
-    error_reply: Optional[dict] = None
+    final: dict = {}
     try:
         with batch_span:
             try:
                 with clock.phase("worker.decode"):
-                    envelope = decode_batch(request["batch"])
+                    envelope = decode_batch(request.get("batch"))
             except WireError as error:
-                error_reply = {
+                final = {
                     "status": "batch_error",
                     "reason": "WireError: %s" % error,
                     "kind": DETERMINISTIC,
@@ -690,6 +626,11 @@ def _execute_batch(request: dict, conn, host: _WarmHost) -> bool:
             else:
                 instances: Dict[int, Optional[List[int]]] = {}
                 reasons: Dict[int, str] = {}
+                last_use = {
+                    index: position
+                    for position, (index, _) in enumerate(envelope.cells)
+                }
+                last = len(envelope.cells) - 1
                 for position, (instance_index, method) in enumerate(
                     envelope.cells
                 ):
@@ -702,8 +643,12 @@ def _execute_batch(request: dict, conn, host: _WarmHost) -> bool:
                         reasons,
                         instance_index,
                         method,
+                        last_use[instance_index] == position,
                     )
                     reply["cell"] = position
+                    if position == last:
+                        final = reply
+                        break
                     try:
                         conn.send(reply)
                     except (BrokenPipeError, OSError):
@@ -714,35 +659,29 @@ def _execute_batch(request: dict, conn, host: _WarmHost) -> bool:
             obs_trace.deactivate()
     if not pipe_ok:
         return False
-    if error_reply is not None:
-        try:
-            conn.send(error_reply)
-        except (BrokenPipeError, OSError):
-            return False
-        return True
-    # Nothing survives a batch: drop the shared instances so the next
-    # request's between-cell collection reclaims them.
     phases = dict(clock.durations)
     phases["worker.request"] = time.perf_counter() - started
-    trailer = {
-        "status": "batch_done",
-        "phases": phases,
-        "warm": {
-            "resets": host.resets,
-            "compactions": host.compactions,
-        },
+    final["phases"] = phases
+    final["warm"] = {
+        "resets": host.resets,
+        "compactions": host.compactions,
     }
     if bundle_tracer is not None:
-        trailer["spans"] = bundle_tracer.events
+        final["spans"] = bundle_tracer.events
     try:
-        conn.send(trailer)
+        conn.send(final)
     except (BrokenPipeError, OSError):
         return False
     return True
 
 
 def _worker_main(conn, memory_limit: Optional[int]) -> None:
-    """Worker process entry: serve requests until the sentinel."""
+    """Worker process entry: serve batches and pings until the sentinel.
+
+    The protocol has three messages: ``None`` (shut down), a
+    ``{"ping": token}`` health probe, and a ``{"batch": envelope}``
+    request — a single cell travels as a batch of one.
+    """
     _apply_memory_limit(memory_limit)
     # Under ``fork`` the child inherits the parent's active tracer.
     # Recording into that copy is pure waste — the events can never
@@ -757,7 +696,7 @@ def _worker_main(conn, memory_limit: Optional[int]) -> None:
             break
         if request is None:
             break
-        if isinstance(request, dict) and "ping" in request:
+        if "ping" in request:
             # Health probe from the supervisor: echo the token back.
             # Kept trivially cheap so a probe never competes with work.
             try:
@@ -765,18 +704,10 @@ def _worker_main(conn, memory_limit: Optional[int]) -> None:
             except (BrokenPipeError, OSError):  # pragma: no cover
                 break
             continue
-        if isinstance(request, dict):
-            watermark = request.get("watermark")
-            if watermark is not None:
-                host.watermark = watermark
-        if isinstance(request, dict) and "batch" in request:
-            if not _execute_batch(request, conn, host):
-                break
-            continue
-        reply = _execute_request(request, host)
-        try:
-            conn.send(reply)
-        except (BrokenPipeError, OSError):  # pragma: no cover - races
+        watermark = request.get("watermark")
+        if watermark is not None:
+            host.watermark = watermark
+        if not _execute_batch(request, conn, host):
             break
     conn.close()
 
@@ -919,9 +850,8 @@ class MinimizationPool:
         self.recycle_after = recycle_after
         self.node_watermark = node_watermark
         # Reason-recording protocol (mirrors GuardedHeuristic).
-        # ``requests`` counts *cells* — a batch of N increments it by N
-        # — so sweep records stay comparable across batched and
-        # unbatched runs; ``batches`` counts batch dispatches.
+        # ``requests`` counts *cells* — a batch of N increments it by N;
+        # ``batches`` counts execute_batch dispatches only.
         self.requests = 0
         self.batches = 0
         self.failures = 0
@@ -1085,11 +1015,6 @@ class MinimizationPool:
         if stop_me is not None:
             stop_me.stop()
 
-    def _swap_busy(self, dead: _Worker, fresh: _Worker) -> None:
-        with self._cv:
-            index = self._busy.index(dead)
-            self._busy[index] = fresh
-
     # ------------------------------------------------------------------
     # Requests
     # ------------------------------------------------------------------
@@ -1116,23 +1041,19 @@ class MinimizationPool:
         manager: Manager,
         requests: Sequence[Tuple[str, int, int]],
         deadline: Optional[float] = None,
-        batch: bool = True,
     ) -> List[ServeResult]:
         """Run ``(method, f, c)`` requests across the worker pool.
 
-        With ``batch=True`` (the default) cells are packed into batch
-        envelopes — each distinct ``(f, c)`` instance encoded once into
-        a shared-instance table — and sharded contiguously across up
-        to ``workers`` single-checkout batch dispatches
-        (:meth:`execute_batch`).  With ``batch=False`` every cell is
-        its own worker round trip, the pre-batching behaviour, kept
-        for differential testing and overhead measurement.  Either way
-        each cell is independently watchdogged and degrades alone — a
-        killed or failed cell never poisons the rest of its batch —
-        and results come back index-aligned with the input.  All
-        caller-manager work (wire encoding, decoding, re-verification)
-        happens on the calling thread; only the wire-level middle runs
-        on dispatcher threads.
+        Cells are packed into batch envelopes — each distinct
+        ``(f, c)`` instance encoded once into a shared-instance table —
+        and sharded contiguously across up to ``workers`` single-checkout
+        dispatches (:meth:`execute_batch`); a lone request goes through
+        :meth:`execute`, as a batch of one.  Each cell is independently
+        watchdogged and degrades alone — a killed or failed cell never
+        poisons the rest of its batch — and results come back
+        index-aligned with the input.  All caller-manager work (wire
+        encoding, decoding, re-verification) happens on the calling
+        thread; only the wire-level middle runs on dispatcher threads.
         """
         if self._closed:
             raise RuntimeError("pool is closed")
@@ -1141,46 +1062,14 @@ class MinimizationPool:
             raise ValueError("deadline must be positive")
         if not requests:
             return []
-        if batch and len(requests) > 1:
-            return self._run_batched(manager, requests, per_request)
-        jobs = [
-            (method, f, c, serialize_instance(manager, f, c))
-            for method, f, c in requests
-        ]
-        if len(jobs) <= 1 or self.num_workers == 1:
-            outcomes = [
-                self.execute(payload, method, deadline=per_request)
-                for method, _, _, payload in jobs
-            ]
-        else:
-            executor = self._dispatchers()
-            futures = [
-                executor.submit(
-                    self.execute, payload, method, per_request
-                )
-                for method, _, _, payload in jobs
-            ]
-            outcomes = [future.result() for future in futures]
-        return [
-            self._to_result(manager, method, f, c, outcome)
-            for (method, f, c, _), outcome in zip(jobs, outcomes)
-        ]
-
-    def _run_batched(
-        self,
-        manager: Manager,
-        requests: Sequence[Tuple[str, int, int]],
-        per_request: float,
-    ) -> List[ServeResult]:
-        """The batched middle of :meth:`run_batch`.
-
-        Dedups distinct ``(f, c)`` instances into a shared table (the
-        sweep runs every heuristic over the same instance, so this cuts
-        encode bytes by the heuristic count), shards the cell list
-        contiguously across up to ``workers`` envelopes, dispatches
-        each shard as one :meth:`execute_batch` checkout, and decodes
-        the reassembled outcomes on the calling thread.
-        """
+        if len(requests) == 1:
+            method, f, c = requests[0]
+            outcome = self.execute(
+                serialize_instance(manager, f, c), method, per_request
+            )
+            return [self._to_result(manager, method, f, c, outcome)]
+        # The sweep runs every heuristic over the same instance, so
+        # the shared table cuts encode bytes by the heuristic count.
         instance_ids: Dict[Tuple[int, int], int] = {}
         instances: List[bytes] = []
         cells: List[Tuple[int, str]] = []
@@ -1246,17 +1135,77 @@ class MinimizationPool:
     ) -> Optional[WireOutcome]:
         """Run one wire-encoded ``[f, c]`` request on a worker.
 
-        The thread-safe core primitive: blocks until a worker is free
-        (or returns ``None`` immediately with ``block=False``), ships
-        the payload, watchdogs the worker, and returns a
-        :class:`WireOutcome` — never raises on a request, only on
-        caller errors (closed pool, non-positive deadline).  Wire-level
-        failures are recorded against ``failures`` / ``last_failure``
-        and reported through ``on_failure`` here; parent-side decode
-        and verification belong to the caller.
+        The thread-safe single-cell primitive.  The payload travels as
+        a one-cell batch envelope through the same dispatch core as
+        :meth:`execute_batch` — one worker protocol, in which a single
+        cell is a batch of one.  Blocks until a worker is free (or
+        returns ``None`` immediately with ``block=False``), watchdogs
+        the worker, and returns a :class:`WireOutcome` — never raises
+        on a request, only on caller errors (closed pool, non-positive
+        deadline).  Wire-level failures are recorded against
+        ``failures`` / ``last_failure`` and reported through
+        ``on_failure`` here; parent-side decode and verification belong
+        to the caller.  A call adds one to ``requests`` and nothing to
+        ``batches``, and its root trace span is named by ``method``.
         """
-        per_request = self.deadline if deadline is None else deadline
-        if per_request <= 0:
+        try:
+            envelope = encode_batch([payload], [(0, method)])
+        except WireError as error:
+            return self._wire_failure(
+                method, "WireError: %s" % error, DETERMINISTIC, False
+            )
+        outcomes = self._dispatch(envelope, [method], deadline, block, False)
+        return None if outcomes is None else outcomes[0]
+
+    def execute_batch(
+        self,
+        envelope: bytes,
+        methods: Sequence[str],
+        deadline: Optional[float] = None,
+        block: bool = True,
+    ) -> Optional[List[WireOutcome]]:
+        """Run one batch envelope on a single worker checkout.
+
+        The wire-level batch primitive: ships an
+        :func:`repro.bdd.wire.encode_batch` envelope and returns
+        :class:`WireOutcome` objects index-aligned with ``methods``
+        (which must name the envelope's cells in order; it is what
+        failure recording and the breaker callback see).  Returns
+        ``None`` iff ``block=False`` and no worker is idle.  A call adds
+        one to ``batches`` and ``len(methods)`` to ``requests``; its root
+        trace span is ``batch[N]``.  Failure semantics are those of the
+        shared dispatch core (:meth:`_dispatch`); parent-side decode and
+        verification belong to the caller, as with :meth:`execute`.
+        """
+        return self._dispatch(envelope, methods, deadline, block, True)
+
+    def _dispatch(
+        self,
+        envelope: bytes,
+        methods: Sequence[str],
+        deadline: Optional[float],
+        block: bool,
+        batch: bool,
+    ) -> Optional[List[WireOutcome]]:
+        """The dispatch core behind :meth:`execute` and :meth:`execute_batch`.
+
+        Reads the worker's streamed per-cell replies, resetting the
+        watchdog window after every reply, so ``deadline`` bounds each
+        *cell*, not the whole envelope.  One cell's failure never
+        poisons the rest: a guard trip or contract violation degrades
+        that cell alone; a watchdog kill or worker crash keeps every
+        already-streamed result, degrades the in-flight cell
+        (``killed`` set on a kill), and degrades the not-yet-run tail
+        as transient ``BatchAborted`` failures.  A worker found dead on
+        send is replaced and the envelope retried on the fresh one.
+        ``batch`` selects the counters and trace label of
+        :meth:`execute_batch` over those of :meth:`execute`.
+        """
+        num_cells = len(methods)
+        if num_cells == 0:
+            return []
+        per_cell = self.deadline if deadline is None else deadline
+        if per_cell <= 0:
             raise ValueError("deadline must be positive")
         tracer = obs_trace.active()
         t_entry = time.perf_counter()
@@ -1265,15 +1214,21 @@ class MinimizationPool:
             return None
         t_checkout = time.perf_counter()
         with self._cv:
-            self.requests += 1
+            self.requests += num_cells
+            if batch:
+                self.batches += 1
+        mreg = obs_metrics.active()
+        if batch and mreg is not None:
+            mreg.inc("serve.batches")
+            mreg.inc("serve.batch_cells", num_cells)
         request = {
-            "method": method,
-            "payload": payload,
-            "deadline": per_request,
+            "batch": envelope,
+            "deadline": per_cell,
             "node_budget": self.node_budget,
             "step_budget": self.step_budget,
             "watermark": self.node_watermark,
         }
+        label = "batch[%d]" % num_cells if batch else methods[0]
         context: Optional[TraceContext] = None
         if tracer is not None:
             seq = self._merger.next_seq()
@@ -1290,7 +1245,7 @@ class MinimizationPool:
             t_send = time.perf_counter()
             if context is not None:
                 # The logical-clock offset: the parent-timeline µs at
-                # which this payload hits the pipe.  The worker's span
+                # which this envelope hits the pipe.  The worker's span
                 # bundle is recorded relative to its own receipt and
                 # rebased here at merge time, so no cross-process
                 # clock agreement is assumed.  Refreshed on the
@@ -1301,169 +1256,11 @@ class MinimizationPool:
                 worker.conn.send(request)
             except (BrokenPipeError, OSError):
                 # The worker died between requests; replace it and
-                # retry the request on the fresh one.
-                fresh = _Worker(self._context, self.memory_limit)
-                self._swap_busy(worker, fresh)
-                with self._cv:
-                    self.crashes += 1
-                    self.worker_restarts += 1
-                mreg = obs_metrics.active()
-                if mreg is not None:
-                    mreg.inc("serve.worker_crashes")
-                    mreg.inc("serve.worker_replacements")
-                worker.kill()
-                worker = fresh
-                continue
-            break
-        kill_at = started + per_request + self.kill_grace
-        try:
-            ready = worker.conn.poll(max(0.0, kill_at - time.monotonic()))
-        except (BrokenPipeError, OSError):  # pragma: no cover - races
-            ready = False
-        if not ready:
-            outcome = self._kill_overdue(worker, method, per_request)
-            self._finish_request(
-                context,
-                method,
-                "killed",
-                t_entry,
-                t_checkout,
-                t_send,
-                worker_pid=worker.pid,
-            )
-            return outcome
-        try:
-            reply = worker.conn.recv()
-        except (EOFError, OSError):
-            outcome = self._crashed(worker, method, started)
-            self._finish_request(
-                context,
-                method,
-                "crashed",
-                t_entry,
-                t_checkout,
-                t_send,
-                worker_pid=worker.pid,
-            )
-            return outcome
-        runtime = reply.get("runtime", time.monotonic() - started)
-        stats = reply.get("stats")
-        mreg = obs_metrics.active()
-        if mreg is not None:
-            mreg.observe("serve.request_latency", runtime)
-        self._checkin(worker)
-        status = "ok" if reply["status"] == "ok" else "degraded"
-        self._finish_request(
-            context,
-            method,
-            status,
-            t_entry,
-            t_checkout,
-            t_send,
-            reply=reply,
-            worker_pid=worker.pid,
-        )
-        if reply["status"] != "ok":
-            return self._wire_failure(
-                method,
-                reply["reason"],
-                reply["kind"],
-                killed=False,
-                runtime=runtime,
-                stats=stats,
-            )
-        return WireOutcome(
-            status="ok",
-            payload=reply["payload"],
-            runtime=runtime,
-            stats=stats,
-        )
-
-    def execute_batch(
-        self,
-        envelope: bytes,
-        methods: Sequence[str],
-        deadline: Optional[float] = None,
-        block: bool = True,
-    ) -> Optional[List[WireOutcome]]:
-        """Run one batch envelope on a single worker checkout.
-
-        The wire-level batch primitive: ships an
-        :func:`repro.bdd.wire.encode_batch` envelope, reads the
-        worker's streamed per-cell replies — resetting the watchdog
-        window after every reply, so ``deadline`` bounds each *cell*,
-        not the whole batch — and returns :class:`WireOutcome` objects
-        index-aligned with ``methods`` (which must name the envelope's
-        cells in order; it is what failure recording and the breaker
-        callback see).  One cell's failure never poisons its batch: a
-        guard trip or contract violation degrades that cell alone; a
-        watchdog kill or worker crash keeps every already-streamed
-        result, degrades the in-flight cell (``killed`` set on a
-        kill), and degrades the not-yet-run tail as transient
-        ``BatchAborted`` failures.  Returns ``None`` iff
-        ``block=False`` and no worker is idle.  Parent-side decode and
-        verification belong to the caller, as with :meth:`execute`.
-        """
-        num_cells = len(methods)
-        if num_cells == 0:
-            return []
-        per_cell = self.deadline if deadline is None else deadline
-        if per_cell <= 0:
-            raise ValueError("deadline must be positive")
-        tracer = obs_trace.active()
-        t_entry = time.perf_counter()
-        worker = self._checkout(block=block)
-        if worker is None:
-            return None
-        t_checkout = time.perf_counter()
-        with self._cv:
-            self.requests += num_cells
-            self.batches += 1
-        mreg = obs_metrics.active()
-        if mreg is not None:
-            mreg.inc("serve.batches")
-            mreg.inc("serve.batch_cells", num_cells)
-        request = {
-            "batch": envelope,
-            "deadline": per_cell,
-            "node_budget": self.node_budget,
-            "step_budget": self.step_budget,
-            "watermark": self.node_watermark,
-        }
-        label = "batch[%d]" % num_cells
-        context: Optional[TraceContext] = None
-        if tracer is not None:
-            seq = self._merger.next_seq()
-            self._merger.register_process(tracer._pid, "pool")
-            context = TraceContext(
-                trace_id=request_trace_id(seq),
-                seq=seq,
-                parent_span="pool.dispatch",
-                detail=seq % TRACE_DETAIL_EVERY == 0,
-            )
-        started = time.monotonic()
-        while True:
-            worker.served += 1
-            t_send = time.perf_counter()
-            if context is not None:
-                context.sent_at_us = tracer.offset_us(t_send)
-                request["trace"] = context.to_wire()
-            try:
-                worker.conn.send(request)
-            except (BrokenPipeError, OSError):
-                # The worker died between requests; replace it and
-                # retry the whole batch on the fresh one (nothing was
-                # streamed yet, so the retry is loss-free).
-                fresh = _Worker(self._context, self.memory_limit)
-                self._swap_busy(worker, fresh)
-                with self._cv:
-                    self.crashes += 1
-                    self.worker_restarts += 1
-                if mreg is not None:
-                    mreg.inc("serve.worker_crashes")
-                    mreg.inc("serve.worker_replacements")
-                worker.kill()
-                worker = fresh
+                # retry on the fresh one (nothing was streamed yet, so
+                # the retry is loss-free).
+                worker = self._restart(
+                    worker, "crashes", "serve.worker_crashes", busy=True
+                )
                 continue
             break
         outcomes: List[Optional[WireOutcome]] = [None] * num_cells
@@ -1478,70 +1275,51 @@ class MinimizationPool:
                 )
             except (BrokenPipeError, OSError):  # pragma: no cover
                 ready = False
-            if not ready:
-                # Watchdog: the in-flight cell (or the trailer) is
-                # overdue.  SIGKILL and replace the worker; keep every
-                # streamed result, degrade the rest.
-                with self._cv:
-                    self.kills += 1
-                    self.worker_restarts += 1
-                if mreg is not None:
-                    mreg.inc("serve.watchdog_kills")
-                    mreg.inc("serve.worker_replacements")
-                fresh = _Worker(self._context, self.memory_limit)
-                self._checkin(worker, fresh=fresh)
-                worker.kill()
-                if received < num_cells:
-                    outcomes[received] = self._wire_failure(
-                        methods[received],
-                        "DeadlineExceeded: worker exceeded the %.3fs "
-                        "per-cell wall-clock deadline mid-batch and "
-                        "was killed (SIGKILL)" % per_cell,
-                        TRANSIENT,
-                        killed=True,
-                        runtime=per_cell,
-                    )
-                self._abort_tail(
-                    outcomes, methods, received + 1, "worker killed"
-                )
-                status = "killed"
-                break
             try:
-                message = worker.conn.recv()
+                message = worker.conn.recv() if ready else None
             except (EOFError, OSError):
-                exitcode = worker.process.exitcode
-                with self._cv:
-                    self.crashes += 1
-                    self.worker_restarts += 1
-                if mreg is not None:
-                    mreg.inc("serve.worker_crashes")
-                    mreg.inc("serve.worker_replacements")
-                fresh = _Worker(self._context, self.memory_limit)
-                self._checkin(worker, fresh=fresh)
-                worker.kill()
+                message = None
+            if message is None:
+                # Overdue (the in-flight cell) or dead (OOM kill,
+                # segfault, explicit exit): SIGKILL and replace the
+                # worker, keep every streamed result and degrade the
+                # rest.  Both are transient — a fresh worker may well
+                # succeed.
+                if ready:
+                    status = "crashed"
+                    reason = (
+                        "WorkerCrash: worker died mid-request (exit "
+                        "code %s)" % worker.process.exitcode
+                    )
+                    runtime = time.monotonic() - started
+                    self._restart(worker, "crashes", "serve.worker_crashes")
+                else:
+                    status = "killed"
+                    reason = (
+                        "DeadlineExceeded: worker exceeded the %.3fs "
+                        "per-cell wall-clock deadline and was killed "
+                        "(SIGKILL)" % per_cell
+                    )
+                    runtime = per_cell
+                    self._restart(worker, "kills", "serve.watchdog_kills")
                 if received < num_cells:
                     outcomes[received] = self._wire_failure(
                         methods[received],
-                        "WorkerCrash: worker died mid-batch (exit "
-                        "code %s)" % exitcode,
+                        reason,
+                        TRANSIENT,
+                        killed=not ready,
+                        runtime=runtime,
+                    )
+                for position in range(received + 1, num_cells):
+                    outcomes[position] = self._wire_failure(
+                        methods[position],
+                        "BatchAborted: worker %s before this cell ran"
+                        % status,
                         TRANSIENT,
                         killed=False,
-                        runtime=time.monotonic() - started,
                     )
-                self._abort_tail(
-                    outcomes, methods, received + 1, "worker crashed"
-                )
-                status = "crashed"
                 break
             msg_status = message.get("status")
-            if msg_status == "batch_done":
-                trailer = message
-                warm = message.get("warm")
-                if warm is not None and worker.pid is not None:
-                    with self._cv:
-                        self._warm[worker.pid] = warm
-                self._checkin(worker)
-                break
             if msg_status == "batch_error":
                 # The envelope itself was undecodable: every cell
                 # fails deterministically; the worker stays healthy.
@@ -1555,29 +1333,37 @@ class MinimizationPool:
                         killed=False,
                     )
                 status = "degraded"
+            else:
+                position = message["cell"]
+                runtime = message.get("runtime", 0.0)
+                if mreg is not None:
+                    mreg.observe("serve.request_latency", runtime)
+                if msg_status == "ok":
+                    outcomes[position] = WireOutcome(
+                        status="ok",
+                        payload=message["payload"],
+                        runtime=runtime,
+                        stats=message.get("stats"),
+                    )
+                else:
+                    outcomes[position] = self._wire_failure(
+                        methods[position],
+                        message["reason"],
+                        message["kind"],
+                        killed=False,
+                        runtime=runtime,
+                        stats=message.get("stats"),
+                    )
+                received += 1
+            if "phases" in message:
+                # The request's last reply carries its trailer.
+                trailer = message
+                warm = message["warm"]
+                if worker.pid is not None:
+                    with self._cv:
+                        self._warm[worker.pid] = warm
                 self._checkin(worker)
                 break
-            position = message["cell"]
-            runtime = message.get("runtime", 0.0)
-            if mreg is not None:
-                mreg.observe("serve.request_latency", runtime)
-            if msg_status == "ok":
-                outcomes[position] = WireOutcome(
-                    status="ok",
-                    payload=message["payload"],
-                    runtime=runtime,
-                    stats=message.get("stats"),
-                )
-            else:
-                outcomes[position] = self._wire_failure(
-                    methods[position],
-                    message["reason"],
-                    message["kind"],
-                    killed=False,
-                    runtime=runtime,
-                    stats=message.get("stats"),
-                )
-            received += 1
             kill_at = time.monotonic() + per_cell + self.kill_grace
         failed_cells = sum(
             1
@@ -1610,22 +1396,31 @@ class MinimizationPool:
             for position, outcome in enumerate(outcomes)
         ]
 
-    def _abort_tail(
-        self,
-        outcomes: List[Optional[WireOutcome]],
-        methods: Sequence[str],
-        start: int,
-        why: str,
-    ) -> None:
-        """Degrade every not-yet-run cell after a mid-batch kill/crash."""
-        for position in range(start, len(outcomes)):
-            if outcomes[position] is None:
-                outcomes[position] = self._wire_failure(
-                    methods[position],
-                    "BatchAborted: %s before this cell ran" % why,
-                    TRANSIENT,
-                    killed=False,
-                )
+    def _restart(
+        self, worker: _Worker, counter: str, metric: str, busy: bool = False
+    ) -> _Worker:
+        """SIGKILL ``worker`` and put a fresh one in its place.
+
+        ``counter`` names the health counter the replacement is charged
+        to (``kills``, ``crashes`` or ``probe_failures``) and ``metric``
+        its registry twin.  The fresh worker goes back on the free list,
+        or — with ``busy`` — stays checked out to the caller, who
+        retries on it.
+        """
+        fresh = _Worker(self._context, self.memory_limit)
+        with self._cv:
+            setattr(self, counter, getattr(self, counter) + 1)
+            self.worker_restarts += 1
+            if busy:
+                self._busy[self._busy.index(worker)] = fresh
+        mreg = obs_metrics.active()
+        if mreg is not None:
+            mreg.inc(metric)
+            mreg.inc("serve.worker_replacements")
+        if not busy:
+            self._checkin(worker, fresh=fresh)
+        worker.kill()
+        return fresh
 
     def probe(self, timeout: float = 1.0) -> Dict[str, int]:
         """Health-check every currently idle worker with a ping.
@@ -1666,16 +1461,9 @@ class MinimizationPool:
                 self._checkin(worker)
             else:
                 replaced += 1
-                with self._cv:
-                    self.probe_failures += 1
-                    self.worker_restarts += 1
-                mreg = obs_metrics.active()
-                if mreg is not None:
-                    mreg.inc("serve.probe_failures")
-                    mreg.inc("serve.worker_replacements")
-                fresh = _Worker(self._context, self.memory_limit)
-                self._checkin(worker, fresh=fresh)
-                worker.kill()
+                self._restart(
+                    worker, "probe_failures", "serve.probe_failures"
+                )
         return {"probed": probed, "healthy": healthy, "replaced": replaced}
 
     # ------------------------------------------------------------------
@@ -1775,54 +1563,6 @@ class MinimizationPool:
             parent_events,
             context=context,
             bundle=bundle,
-        )
-
-    def _kill_overdue(
-        self, worker: _Worker, method: str, per_request: float
-    ) -> WireOutcome:
-        with self._cv:
-            self.kills += 1
-            self.worker_restarts += 1
-        mreg = obs_metrics.active()
-        if mreg is not None:
-            mreg.inc("serve.watchdog_kills")
-            mreg.inc("serve.worker_replacements")
-        fresh = _Worker(self._context, self.memory_limit)
-        self._checkin(worker, fresh=fresh)
-        worker.kill()
-        return self._wire_failure(
-            method,
-            "DeadlineExceeded: worker exceeded the %.3fs wall-clock "
-            "deadline and was killed (SIGKILL)" % per_request,
-            TRANSIENT,
-            killed=True,
-            runtime=per_request,
-        )
-
-    def _crashed(
-        self, worker: _Worker, method: str, started: float
-    ) -> WireOutcome:
-        # The worker died mid-request: OOM kill, segfault, or an
-        # explicit exit.  Classified transient (a fresh worker may
-        # well succeed) and the worker is replaced.
-        exitcode = worker.process.exitcode
-        with self._cv:
-            self.crashes += 1
-            self.worker_restarts += 1
-        mreg = obs_metrics.active()
-        if mreg is not None:
-            mreg.inc("serve.worker_crashes")
-            mreg.inc("serve.worker_replacements")
-        fresh = _Worker(self._context, self.memory_limit)
-        self._checkin(worker, fresh=fresh)
-        worker.kill()
-        return self._wire_failure(
-            method,
-            "WorkerCrash: worker died mid-request (exit code %s)"
-            % exitcode,
-            TRANSIENT,
-            killed=False,
-            runtime=time.monotonic() - started,
         )
 
     def _wire_failure(

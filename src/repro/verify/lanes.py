@@ -9,17 +9,19 @@ path and reports, per ``(instance, method)``, a normalized
 ``pool``
     :class:`~repro.serve.service.MinimizationService` over an isolated
     :class:`~repro.serve.pool.MinimizationPool` (process workers,
-    watchdog, breakers, retries), one worker round trip per cell.
+    watchdog, breakers, retries), one worker round trip per cell — a
+    one-cell batch envelope.
 ``batch``
-    The same pool driven through the batched wire path: every
-    instance's cells packed into batch envelopes
-    (:meth:`~repro.serve.pool.MinimizationPool.run_batch` with
-    ``batch=True`` → ``execute_batch``), decoded per cell.  Its
-    byte-agreement with ``pool`` and ``inprocess`` is exactly the
-    batched-dispatch differential.
+    The same pool driven with multi-cell envelopes: every instance's
+    cells packed into one envelope
+    (:meth:`~repro.serve.pool.MinimizationPool.run_batch` →
+    ``execute_batch``), decoded per cell.  It is the only lane that
+    exercises what a batch of one cannot: the worker's shared-instance
+    cache, between-cell collection with the batch's instances as extra
+    roots, and ``on_remap`` translation of cached refs.
 ``gateway``
     The async :class:`~repro.serve.gateway.MinimizationGateway` with
-    admission control and hedging.
+    admission control and hedging, one-cell envelopes like ``pool``.
 ``chaos``
     The gateway again, under a named fault schedule from
     :mod:`repro.robust.chaos` (worker kills, stalls, corrupt payloads,
@@ -174,19 +176,23 @@ class PoolLane:
 
 
 class BatchLane:
-    """The pool driven through the batched dispatch path.
+    """The pool driven with multi-cell batch envelopes.
 
-    Every instance's cells travel in batch envelopes — the instance
+    Every instance's cells travel in one envelope — the instance
     payload encoded once into the shared table, cells referencing it
     by index — through
     :meth:`~repro.serve.pool.MinimizationPool.execute_batch` on warm
     worker managers, then each cover is decoded and normalized over
-    the instance's scratch manager.  Because the wire format is
-    canonical, a conforming batched path must produce byte-identical
-    covers to the single-cell ``pool`` lane; any divergence (a stale
-    ref surviving a between-cell collection, a cross-cell leak in the
-    warm manager, a mis-aligned outcome) surfaces as a lane
-    disagreement.
+    the instance's scratch manager.  The ``pool`` and ``gateway``
+    lanes send only one-cell envelopes, so this is the only lane that
+    reaches the worker's shared-instance cache, the between-cell
+    collection that keeps the batch's instances alive as extra roots,
+    and the ``on_remap`` translation of cached refs after a compacting
+    collection.  Because the wire format is canonical, a conforming
+    path must produce byte-identical covers to ``inprocess``; any
+    divergence (a stale ref surviving a between-cell collection, a
+    cross-cell leak in the warm manager, a mis-aligned outcome)
+    surfaces as a lane disagreement.
     """
 
     name = "batch"
@@ -207,9 +213,7 @@ class BatchLane:
             for instance in instances:
                 manager, f, c = instance.decode()
                 replies = pool.run_batch(
-                    manager,
-                    [(method, f, c) for method in methods],
-                    batch=True,
+                    manager, [(method, f, c) for method in methods]
                 )
                 for method, reply in zip(methods, replies):
                     results.append(

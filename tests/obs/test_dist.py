@@ -457,9 +457,13 @@ class TestPooledEndToEnd:
         batch = [("osm_bt", f, c)] * (TRACE_DETAIL_EVERY + 3)
         with obs_trace.tracing(str(path)):
             with MinimizationPool(workers=2) as pool:
-                # batch=False: one dispatch (and one trace seq) per
-                # cell — the per-request trace shape this test pins.
-                replies = pool.run_batch(manager, batch, batch=False)
+                # One minimize per cell: one dispatch (and one trace
+                # seq) per cell — the per-request trace shape this
+                # test pins.
+                replies = [
+                    pool.minimize(manager, f, c, method)
+                    for method, f, c in batch
+                ]
         assert all(reply.ok for reply in replies)
 
         events = load_trace(str(path))
@@ -511,6 +515,34 @@ class TestPooledEndToEnd:
         summary = GLOBAL_PHASES.summary()
         assert summary["worker.compute"]["count"] == len(batch)
         assert summary["pool.dispatch"]["count"] == len(batch)
+
+    def test_single_cell_execute_keeps_single_cell_semantics(
+        self, tmp_path
+    ):
+        # A single cell travels as a one-cell batch envelope, but must
+        # not leak batch semantics: one request, no batch counters,
+        # and a root span named by its method rather than batch[1].
+        from repro.bdd.wire import serialize_instance
+        from repro.serve.pool import MinimizationPool
+
+        path = tmp_path / "single.json"
+        manager, f, c = _instance()
+        payload = serialize_instance(manager, f, c)
+        with obs_metrics.collecting() as registry:
+            with obs_trace.tracing(str(path)):
+                with MinimizationPool(workers=1) as pool:
+                    outcome = pool.execute(payload, "osm_bt")
+                    stats = pool.statistics()
+        assert outcome.ok
+        assert stats["requests"] == 1
+        assert stats["batches"] == 0
+        assert registry.counter("serve.batches") == 0
+        assert registry.counter("serve.batch_cells") == 0
+        roots = [
+            e for e in load_trace(str(path))
+            if e.get("ph") == "X" and e["name"] == "pool.request"
+        ]
+        assert [root["args"]["method"] for root in roots] == ["osm_bt"]
 
     def test_batched_trace_groups_cells_per_batch(self, tmp_path):
         from repro.obs.dist import GLOBAL_PHASES

@@ -286,6 +286,42 @@ class TestDeadlinePropagation:
         assert log[0][2] == pytest.approx(3.0)
 
 
+    def test_reply_runtime_is_admission_to_reply(self):
+        # Single and batch replies both report admission-to-reply time
+        # on the gateway clock, never the worker's compute time: with
+        # the clock frozen during dispatch it equals the queue wait.
+        payload = _payload()
+        clock = _FakeClock()
+
+        async def drill():
+            with MinimizationPool(workers=1) as pool:
+                gateway = MinimizationGateway(pool, clock=clock)
+                await gateway.start()
+                gateway.pause_dispatch()
+                single = asyncio.ensure_future(
+                    gateway.submit(payload, "osm_bt", deadline=2.0)
+                )
+                batch = asyncio.ensure_future(
+                    gateway.submit_batch(
+                        [payload], [(0, "osm_bt"), (0, "restrict")],
+                        deadline=2.0,
+                    )
+                )
+                await asyncio.sleep(0)
+                clock.advance(0.75)
+                gateway.resume_dispatch()
+                replies = [await single] + list(await batch)
+                await gateway.close()
+                return replies
+
+        replies = _run(drill())
+        assert len(replies) == 3
+        for reply in replies:
+            assert reply.ok
+            assert reply.queue_wait == pytest.approx(0.75)
+            assert reply.runtime == pytest.approx(0.75)
+
+
 class TestDegradation:
     def test_hung_heuristic_degrades_to_identity(self, registered):
         payload = _payload()

@@ -167,20 +167,20 @@ class TestBatchedDispatch:
         assert replies[2].kind == TRANSIENT
         assert "BatchAborted" in replies[2].reason
 
-    def test_batched_matches_single_cell_bytes(self):
-        # The differential acceptance check: the batched path and the
-        # per-cell path must produce byte-identical canonical covers.
+    def test_batched_matches_in_process_bytes(self):
+        # The differential acceptance check: the batched path must
+        # produce the in-process heuristic's canonical cover bytes.
         from repro.bdd.wire import serialize
 
         manager, f, c = _instance()
         cells = [(m, f, c) for m in self.METHODS]
         with MinimizationPool(workers=2) as pool:
-            batched = pool.run_batch(manager, cells, batch=True)
-            single = pool.run_batch(manager, cells, batch=False)
-        for one, other in zip(batched, single):
-            assert one.ok and other.ok
-            assert serialize(manager, (one.cover,)) == serialize(
-                manager, (other.cover,)
+            batched = pool.run_batch(manager, cells)
+        for method, reply in zip(self.METHODS, batched):
+            assert reply.ok
+            expected = HEURISTICS[method](manager, f, c)
+            assert serialize(manager, (reply.cover,)) == serialize(
+                manager, (expected,)
             )
 
     def test_warm_manager_returns_to_baseline(self):
@@ -348,6 +348,41 @@ class TestCrashes:
             assert pool.crashes == 1
             healthy = pool.minimize(manager, f, c, method="osm_bt")
             assert healthy.ok
+
+    def test_dead_idle_worker_is_replaced_on_send(self):
+        # A worker that died between requests fails the send; the pool
+        # replaces it and retries the cell on the fresh worker, so the
+        # caller sees a clean success and no failure is recorded.
+        from repro.bdd.wire import serialize_instance
+
+        manager, f, c = _instance()
+        failures = []
+        with MinimizationPool(
+            workers=1, on_failure=lambda m, r: failures.append(m)
+        ) as pool:
+            victim = pool.worker_pids()[0]
+            os.kill(victim, 9)
+            pool._idle[0].process.join(timeout=5.0)
+            assert not pool._idle[0].process.is_alive()
+            outcome = pool.execute(serialize_instance(manager, f, c), "osm_bt")
+            stats = pool.statistics()
+            pids = pool.worker_pids()
+        assert outcome.ok
+        assert victim not in pids
+        assert stats["crashes"] == 1 and stats["worker_restarts"] == 1
+        assert stats["requests"] == 1 and stats["failures"] == 0
+        assert failures == []
+
+    def test_non_bytes_payload_is_a_typed_wire_failure(self):
+        failures = []
+        with MinimizationPool(
+            workers=1, on_failure=lambda m, r: failures.append(m)
+        ) as pool:
+            outcome = pool.execute("not a payload", "osm_bt")
+        assert not outcome.ok
+        assert outcome.kind == DETERMINISTIC
+        assert outcome.reason.startswith("WireError:")
+        assert failures == ["osm_bt"]
 
     @pytest.mark.skipif(
         not os.path.exists("/proc/self/statm"),

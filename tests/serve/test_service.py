@@ -224,10 +224,9 @@ class TestSweepParity:
                 assert left.sizes[name] == right.sizes[name]
         assert pooled.failed_cells == 0
 
-    def test_batched_sweep_matches_unbatched(self):
+    def test_batched_sweep_matches_serial(self):
         # Batched dispatch (one envelope per call) is a pure transport
-        # optimization: cell sizes must match the per-cell round-trip
-        # path exactly.
+        # optimization: cell sizes must match the serial sweep exactly.
         from repro.experiments.calls import collect_suite_calls
         from repro.experiments.harness import run_heuristics
 
@@ -237,18 +236,15 @@ class TestSweepParity:
             heuristics=subset,
             compute_lower_bound=False,
             parallel=2,
-            batch=True,
         )
-        unbatched = run_heuristics(
+        serial = run_heuristics(
             collect_suite_calls(["tlc"]),
             heuristics=subset,
             compute_lower_bound=False,
-            parallel=2,
-            batch=False,
         )
         assert batched.failed_cells == 0
-        assert unbatched.failed_cells == 0
-        for left, right in zip(batched.results, unbatched.results):
+        assert serial.failed_cells == 0
+        for left, right in zip(batched.results, serial.results):
             assert left.sizes == right.sizes
         stats = batched.serve_stats
         assert stats is not None and stats["batches"] > 0

@@ -66,11 +66,11 @@ def test_pool_lane_agrees_with_inprocess_byte_for_byte():
 
 
 @needs_fork
-def test_batch_lane_agrees_with_single_cell_byte_for_byte():
-    # The batched transport differential: whole-batch dispatch must
-    # produce byte-identical canonical covers to per-cell dispatch.
+def test_batch_lane_agrees_with_inprocess_byte_for_byte():
+    # The multi-cell envelope differential: whole-batch dispatch must
+    # produce the in-process heuristics' canonical cover bytes.
     instances = _instances()
-    reference = PoolLane(workers=2).run(instances, METHODS)
+    reference = InProcessLane().run(instances, METHODS)
     batched = BatchLane(workers=2).run(instances, METHODS)
     assert len(batched) == len(reference)
     ref_by_key = {
