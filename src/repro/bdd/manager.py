@@ -37,7 +37,9 @@ as the recursive formulation probed them before descending.
 Dead nodes are reclaimed by :meth:`Manager.gc`, a mark-and-sweep
 collector: live nodes are marked from caller-supplied roots plus the
 refs pinned with :meth:`Manager.protect`, dead indices go onto a free
-list that ``_make_raw`` recycles, and with ``compact=True`` the parallel
+list that ``_make_raw`` recycles (when the roots only grew since the
+last collection, just the nodes created since are marked and swept),
+and with ``compact=True`` the parallel
 lists are rebuilt dense (the returned :class:`Remap` translates old refs
 of surviving nodes to their new values).  Unprotected refs not passed as
 roots are invalidated by a sweep — holders must re-derive or protect.
@@ -46,6 +48,7 @@ roots are invalidated by a sweep — holders must re-derive or protect.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from itertools import islice
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.errors import InvariantError
@@ -193,6 +196,11 @@ class Manager:
         # (repro.analysis.sanitize) stamps refs with this value to
         # catch stale-ref use at runtime.
         self._gc_generation: int = 0
+        # Root node indices and unique-table size recorded by the last
+        # completed non-compacting collection (None: the next gc runs
+        # the full mark-and-sweep; see gc).
+        self._gc_roots: Optional[Set[int]] = None
+        self._gc_table_size: int = 0
         # Index of the most recently created node (for audit hooks).
         self._last_created: int = 0
         # Attached repro.obs.metrics registry (None = not collecting).
@@ -511,6 +519,15 @@ class Manager:
         onto a free list that ``_make_raw`` recycles.  Refs to swept
         nodes are invalidated; refs to surviving nodes stay canonical.
 
+        When every root node of the previous collection is still a root
+        (the harness's constant-root §4.1.1 flush), only the nodes
+        created since then can have died, so only they are marked and
+        swept: the cost is O(roots + new nodes), not O(table), and the
+        outcome (table, free-list order, counters) is the full sweep's.
+        The first collection, one after a root was dropped (including
+        by :meth:`unprotect`) and every compacting one mark the whole
+        table.
+
         With ``compact=True`` the parallel node lists are additionally
         rebuilt dense (memory is actually released) and **every**
         outstanding ref is invalidated; the returned :class:`Remap`
@@ -522,12 +539,37 @@ class Manager:
         from repro.obs import trace as obs_trace
 
         root_refs = tuple(roots) + tuple(self._protected)
+        root_indices = {ref >> 1 for ref in root_refs}
         with obs_trace.span(
             "manager.gc", roots=len(root_refs), compact=compact
         ):
-            marked = self.nodes_reachable(root_refs)
-            marked.add(0)
             self.clear_caches()
+            previous = self._gc_roots
+            # Forgotten until this collection completes: one cut short
+            # leaves a table the next one must re-mark in full.
+            self._gc_roots = None
+            unique = self._unique
+            if compact or previous is None or not previous <= root_indices:
+                marked = self.nodes_reachable(root_refs)
+                marked.add(0)
+                candidates = list(unique.items())
+            else:
+                # Young-generation collection.  The last collection left
+                # only nodes reachable from its roots, all still roots
+                # here, so every old node is live and reaches only old
+                # nodes; the table has only grown since, so its newest
+                # entries are exactly the young nodes.  Marking the
+                # young nodes reachable from young roots and sweeping
+                # the rest deletes the same keys, in the same order, as
+                # the full sweep below.
+                candidates = list(
+                    islice(
+                        reversed(unique.items()),
+                        len(unique) - self._gc_table_size,
+                    )
+                )
+                candidates.reverse()
+                marked = self._mark_young(root_indices, candidates)
             if compact:
                 remap, reclaimed = self._compact(marked)
                 self._gc_generation += 1
@@ -535,14 +577,39 @@ class Manager:
                 remap = None
                 reclaimed = 0
                 free = self._free
-                for key, index in list(self._unique.items()):
+                for key, index in candidates:
                     if index not in marked:
-                        del self._unique[key]
+                        del unique[key]
                         free.append(index)
                         reclaimed += 1
+                self._gc_roots = root_indices
+                self._gc_table_size = len(unique)
             self._gc_runs += 1
             self._nodes_reclaimed += reclaimed
         return remap
+
+    def _mark_young(
+        self,
+        root_indices: Set[int],
+        young_entries: List[Tuple[Tuple[int, int, int], int]],
+    ) -> Set[int]:
+        """Young node indices reachable from the young roots."""
+        young = {index for _, index in young_entries}
+        high, low = self._high, self._low
+        marked: Set[int] = set()
+        stack = [index for index in root_indices if index in young]
+        while stack:
+            index = stack.pop()
+            if index in marked:
+                continue
+            marked.add(index)
+            child = high[index] >> 1
+            if child in young:
+                stack.append(child)
+            child = low[index] >> 1
+            if child in young:
+                stack.append(child)
+        return marked
 
     def _compact(self, marked: Set[int]) -> Tuple[Remap, int]:
         """Rebuild the parallel lists dense over ``marked`` indices."""

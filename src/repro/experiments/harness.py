@@ -8,7 +8,9 @@ does exactly that via :meth:`Manager.gc` — a real mark-and-sweep
 collection rooted at the record's recorded instances, which both
 flushes the computed tables and reclaims the dead nodes left behind by
 the previous heuristic (``gc=False`` falls back to a cache-only flush
-for A/B comparisons; see ``benchmarks/bench_kernel.py``).
+for A/B comparisons; see ``benchmarks/bench_kernel.py``).  The root set
+is the same at every flush, so each collection after the first is
+young-generation: it costs O(nodes built by the cell), not O(table).
 
 Robustness: each heuristic measurement is isolated.  A budget trip,
 recursion failure or contract violation on one cell records

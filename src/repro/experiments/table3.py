@@ -38,7 +38,8 @@ class Table3Row:
 def table3_rows(
     results: ExperimentResults, bucket: Optional[Bucket] = None
 ) -> List[Table3Row]:
-    """Aggregate one column group of Table 3 (sorted by total size)."""
+    """Aggregate one column group of Table 3 (sorted by total size;
+    equal totals in ``results.heuristics`` order)."""
     calls = results.in_bucket(bucket)
     min_total = sum(result.min_size for result in calls)
     rows: List[Table3Row] = []
@@ -69,8 +70,11 @@ def table3_rows(
     # A heuristic with failed cells totals over fewer calls, so a size
     # rank against the others would be meaningless (an all-failed row
     # would "win" with total 0).  Failure-free rows are ranked among
-    # themselves; failing rows sort after them, unranked.
-    ranked.sort(key=lambda item: (item[3] > 0, item[0], item[1], item[2]))
+    # themselves; failing rows sort after them, unranked.  Equal totals
+    # keep the ``results.heuristics`` order (a stable sort): breaking
+    # them by measured runtime would reorder rows between two runs of
+    # the same code.
+    ranked.sort(key=lambda item: (item[3] > 0, item[0]))
     rank = 0
     previous_total = None
     for position, (total, runtime, name, failed) in enumerate(ranked):

@@ -1,7 +1,9 @@
 """Mark-and-sweep collection, protection, free lists and compaction."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.bdd.manager as manager_module
 from repro.analysis.checked import CheckedManager
 from repro.analysis.errors import InvariantError
 from repro.bdd.manager import Manager, ONE, ZERO
@@ -286,3 +288,218 @@ class TestScheduleGc:
 
         with pytest.raises(ValueError):
             Schedule(gc_interval=0)
+
+
+# ----------------------------------------------------------------------
+# Young-generation collection: exact against the full mark-and-sweep
+# ----------------------------------------------------------------------
+
+def _full_path_class(base):
+    """``base`` with every collection forced down the full path.
+
+    Forgetting the recorded root set before each call is exactly the
+    state of a manager that never collected, so the reference is the
+    unmodified full mark-and-sweep.
+    """
+    class FullPath(base):
+        def gc(self, roots=(), compact=False):
+            self._gc_roots = None
+            return super().gc(roots, compact=compact)
+
+    return FullPath
+
+
+def _manager_classes():
+    from repro.analysis.sanitize import SanitizedManager
+
+    # manager_module.Manager is CheckedManager under --repro-check and
+    # SanitizedManager under REPRO_SANITIZE=1; both are covered
+    # explicitly too.
+    return [manager_module.Manager, CheckedManager, SanitizedManager]
+
+
+def _state(manager):
+    """Everything a collection can change, in comparable form."""
+    return (
+        list(manager._level),
+        list(manager._high),
+        list(manager._low),
+        list(manager._free),
+        list(manager._unique.items()),
+        manager.statistics(),
+    )
+
+
+def _young_collections(manager):
+    """Count the collections that take the young-generation path."""
+    calls = []
+    original = manager._mark_young
+
+    def spy(*args):
+        calls.append(1)
+        return original(*args)
+
+    manager._mark_young = spy
+    return calls
+
+
+_OPS = ("and", "xor", "ite")
+# Root sets that only grow are weighted up: they take the young path.
+_GC_KINDS = ("same", "grow", "protect", "same", "grow", "protect",
+             "unprotect", "drop", "compact")
+
+_programs = st.lists(
+    st.one_of(
+        st.tuples(st.just("op"), st.sampled_from(_OPS),
+                  st.integers(0, 63), st.integers(0, 63),
+                  st.integers(0, 63)),
+        st.tuples(st.just("gc"), st.sampled_from(_GC_KINDS),
+                  st.integers(0, 63)),
+    ),
+    min_size=4,
+    max_size=60,
+)
+
+
+def _run_program(cls, program):
+    """Replay ``program``; return the state after every collection."""
+    manager = cls()
+    manager.ensure_vars(6)
+    roots = [manager.var(level) for level in range(2)]
+    protected = []
+    young = []
+    states = []
+    for step in program:
+        if step[0] == "op":
+            _, op, i, j, k = step
+            pool = roots + protected + young + [
+                manager.var(level) for level in range(6)
+            ]
+            f, g, h = (pool[n % len(pool)] for n in (i, j, k))
+            if op == "and":
+                young.append(manager.and_(f, g))
+            elif op == "xor":
+                young.append(manager.xor(f, g))
+            else:
+                young.append(manager.ite(f, g, h))
+            continue
+        _, kind, n = step
+        compact = kind == "compact"
+        if kind == "grow" and young:
+            roots.append(young[n % len(young)])
+        elif kind == "protect" and young:
+            protected.append(manager.protect(young[n % len(young)]))
+        elif kind == "unprotect" and protected:
+            manager.unprotect(protected.pop(n % len(protected)))
+        elif kind == "drop" and roots:
+            roots.pop(n % len(roots))
+        remap = manager.gc(tuple(roots), compact=compact)
+        if remap is not None:
+            roots = [remap(ref) for ref in roots]
+            protected = [remap(ref) for ref in protected]
+        young = []
+        states.append(_state(manager))
+    return states
+
+
+class TestYoungGeneration:
+    @pytest.mark.parametrize("base", _manager_classes(),
+                             ids=lambda cls: cls.__name__)
+    @settings(max_examples=60, deadline=None)
+    @given(program=_programs)
+    def test_matches_full_collection(self, base, program):
+        assert _run_program(base, program) == _run_program(
+            _full_path_class(base), program
+        )
+
+    def test_constant_roots_take_the_young_path(self):
+        manager = _manager()
+        keep = manager.protect(manager.and_(manager.var(0), manager.var(1)))
+        young = _young_collections(manager)
+        manager.gc((keep,))
+        assert young == []  # the first collection is a full one
+        for _ in range(3):
+            _build_garbage(manager)
+            manager.gc((keep,))
+        assert len(young) == 3
+        assert manager.statistics()["gc_runs"] == 4
+
+    def test_added_young_root_takes_the_young_path(self):
+        manager = _manager()
+        manager.gc()
+        young = _young_collections(manager)
+        f = _build_garbage(manager)
+        manager.gc((f,))
+        manager.protect(manager.xor(f, manager.var(7)))
+        manager.gc((f,))
+        assert len(young) == 2
+        manager.validate((f,) + manager.protected_refs())
+
+    @pytest.mark.parametrize("trigger", ["drop", "unprotect", "compact"])
+    def test_fall_back_to_full_collection(self, trigger):
+        manager = _manager()
+        f = manager.and_(manager.var(0), manager.var(1))
+        g = manager.protect(manager.xor(manager.var(2), manager.var(3)))
+        manager.gc((f,))
+        young = _young_collections(manager)
+        _build_garbage(manager)
+        roots = (f,)
+        if trigger == "drop":
+            roots = ()
+        elif trigger == "unprotect":
+            manager.unprotect(g)
+        manager.gc(roots, compact=trigger == "compact")
+        assert young == []
+        if trigger == "compact":
+            # Compaction renumbers the table: the recorded roots are
+            # gone, so the next collection is a full one as well.
+            manager.gc(manager.protected_refs())
+            assert young == []
+
+    def test_collection_cut_short_falls_back(self):
+        manager = _manager()
+        f = manager.protect(manager.var(0))
+        manager.gc()
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        manager._mark_young = interrupted
+        _build_garbage(manager)
+        with pytest.raises(KeyboardInterrupt):
+            manager.gc()
+        del manager._mark_young
+        young = _young_collections(manager)
+        manager.gc()
+        assert young == []
+        assert manager.statistics()["live_nodes"] == 2
+        manager.validate(f)
+
+    def test_sanitized_roots_index_like_plain_ints(self):
+        from repro.analysis.sanitize import SanitizedManager, SanitizedRef
+
+        manager = SanitizedManager()
+        manager.ensure_vars(8)
+        f = manager.and_(manager.var(0), manager.var(1))
+        assert type(f) is SanitizedRef
+        manager.gc((f,))
+        young = _young_collections(manager)
+        g = manager.xor(f, manager.var(4))
+        _build_garbage(manager)
+        manager.gc((f, g))  # tagged roots, same indices as plain ints
+        manager.gc((int(f), int(g)))
+        assert len(young) == 2
+        assert manager.size(g) == manager.size(int(g))
+        manager.validate((f, g))
+
+    def test_checked_manager_revalidates_after_young_sweep(self):
+        manager = CheckedManager(check=True)
+        manager.ensure_vars(8)
+        f = manager.and_(manager.var(0), manager.var(1))
+        manager.gc((f,))
+        young = _young_collections(manager)
+        _build_garbage(manager)
+        checks = manager.checks_run
+        manager.gc((f,))
+        assert len(young) == 1
+        assert manager.checks_run == checks + 1

@@ -5,7 +5,12 @@ import pytest
 from repro.core.registry import PAPER_HEURISTICS
 from repro.experiments.buckets import Bucket, bucket_of
 from repro.experiments.calls import collect_suite_calls
-from repro.experiments.harness import run_heuristics, run_experiment
+from repro.experiments.harness import (
+    CallResult,
+    ExperimentResults,
+    run_experiment,
+    run_heuristics,
+)
 from repro.experiments.table3 import (
     reduction_factor,
     render_table3,
@@ -135,6 +140,34 @@ class TestTable3:
 
     def test_reduction_factor_at_least_one(self, results):
         assert reduction_factor(results) >= 1.0
+
+    @staticmethod
+    def _tied_results(runtimes):
+        """Three heuristics where ``b`` and ``c`` tie on total size."""
+        sizes = {"a": 3, "b": 5, "c": 5}
+        return ExperimentResults(
+            heuristics=("c", "a", "b"),
+            results=[
+                CallResult("tlc", 0, 9, 0.5, dict(sizes), dict(runtimes), 3)
+            ],
+        )
+
+    def test_ties_keep_heuristic_order_whatever_the_runtimes(self):
+        # Runtimes far apart reorder nothing: ties follow the order of
+        # results.heuristics, and ranks are unchanged.
+        for runtimes in ({"a": 0.1, "b": 9.0, "c": 1.0},
+                         {"a": 0.1, "b": 1.0, "c": 9.0}):
+            rows = table3_rows(self._tied_results(runtimes))
+            assert [(row.name, row.rank) for row in rows] == [
+                ("min", None), ("a", 1), ("c", 2), ("b", 2)
+            ]
+
+    def test_render_ignores_runtime_noise(self):
+        # Two runs of the same code differ only in measured runtimes;
+        # below the printed precision their Table 3 text is identical.
+        first = self._tied_results({"a": 0.0011, "b": 0.0021, "c": 0.0022})
+        second = self._tied_results({"a": 0.0012, "b": 0.0022, "c": 0.0021})
+        assert render_table3(first) == render_table3(second)
 
 
 class TestTable4:
